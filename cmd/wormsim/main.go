@@ -329,7 +329,7 @@ func main() {
 // mean latency with its across-seed spread, mean throughput, and the
 // aggregate simulation rate the batch achieved. n == 0 picks one replica
 // per sampling period budget (the convergence rule's MaxSamples), the width
-// at which the batch replaces the longest possible scalar run. Returns the
+// at which the batch replaces the longest possible single-seed run. Returns the
 // process exit code.
 func runReplicated(cfg core.Config, n int, prog *telemetry.Progress) int {
 	eff := cfg

@@ -187,15 +187,13 @@ func forensicsSpec(variant string, k int, sampleEvery int64) Spec {
 }
 
 // replicasSpec measures the batch lockstep engine: ns per fused Step of R
-// replicas of one nbc k-ary 2-cube config at a light uniform load (rate
-// 0.003, about the rho=0.1 figure point — the regime replication studies
-// live in, where convergence needs many seeds). Variant "scalar" (reps 0)
-// is the one-engine baseline the family reads against. CyclesPerSec counts
-// replica-cycles per wall second, so the replicas/r16 : replicas/scalar
-// ratio is the batch engine's aggregate speedup over 16 sequential scalar
-// runs; the allocs/op gate applies to the whole family (zero in steady
-// state, batch and scalar alike).
-func replicasSpec(variant string, k, reps int) Spec {
+// replicas of one alg k-ary 2-cube config at a uniform injection rate.
+// Reps 0 runs the scalar network.Network instead, the baseline the family
+// reads against. CyclesPerSec counts replica-cycles per wall second, so the
+// replicas/r16 : replicas/scalar ratio is the batch engine's aggregate
+// speedup over 16 sequential scalar runs; the allocs/op gate applies to the
+// whole family (zero in steady state, batch and scalar alike).
+func replicasSpec(variant string, k int, alg string, rate float64, reps int) Spec {
 	name := "replicas/" + variant
 	return Spec{Name: name, Run: func() Measurement {
 		var flitsPerCycle float64
@@ -206,11 +204,11 @@ func replicasSpec(variant string, k, reps int) Spec {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			g := topology.NewTorus(k, 2)
-			a, err := routing.Get("nbc")
+			a, err := routing.Get(alg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			base := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.003, 1)
+			base := traffic.NewBernoulli(g, traffic.NewUniform(g), rate, 1)
 			if reps == 0 {
 				n, err := network.New(network.Config{
 					Grid: g, Algorithm: a, Workload: base, MsgLen: 16, CCLimit: 2, Seed: 1,
@@ -376,11 +374,20 @@ func Specs(short bool) []Spec {
 		forensicsSpec("sampled", k, forensics.DefaultSampleEvery),
 		forensicsSpec("every", k, 1),
 	)
+	// nbc at rate 0.003, about the rho=0.1 figure point: the regime
+	// replication studies live in, where convergence needs many seeds.
 	specs = append(specs,
-		replicasSpec("scalar", k, 0),
-		replicasSpec("r1", k, 1),
-		replicasSpec("r4", k, 4),
-		replicasSpec("r16", k, 16),
+		replicasSpec("scalar", k, "nbc", 0.003, 0),
+		replicasSpec("r1", k, "nbc", 0.003, 1),
+		replicasSpec("r4", k, "nbc", 0.003, 4),
+		replicasSpec("r16", k, "nbc", 0.003, 16),
+	)
+	// ecube on the 8-ary 2-cube past saturation (rate 0.06, rho about
+	// 0.97): many headers wait in the allocation scan every cycle, the
+	// regime where a single-seed figure point spends its engine time.
+	specs = append(specs,
+		replicasSpec("scalar-sat", 8, "ecube", 0.06, 0),
+		replicasSpec("r1-sat", 8, "ecube", 0.06, 1),
 	)
 	specs = append(specs, sweepScaleSpec(short, 1), sweepScaleSpec(short, 4))
 	return specs

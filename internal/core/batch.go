@@ -7,7 +7,6 @@ import (
 	"wormsim/internal/network"
 	"wormsim/internal/rng"
 	"wormsim/internal/routing"
-	"wormsim/internal/saf"
 	"wormsim/internal/stats"
 	"wormsim/internal/telemetry"
 	"wormsim/internal/traffic"
@@ -45,177 +44,56 @@ func (r BatchResult) String() string {
 }
 
 // RunBatch drives the given finite workload (typically a traffic.Trace) to
-// completion under cfg's network settings and returns makespan statistics.
-// The workload must stop generating eventually; drainBudget caps the cycles
+// completion under cfg's network settings and returns makespan statistics:
+// the burst runner of ReplicateBatch with cfg.Seed as its only seed. The
+// workload must stop generating eventually; drainBudget caps the cycles
 // spent waiting for the network to empty after the last arrival (default
-// 1e6).
+// 1e6). On a watchdog or drain-budget error the Result holds only the
+// makespan reached so far.
 func RunBatch(cfg Config, wl traffic.Workload, lastArrival int64, drainBudget int64) (BatchResult, error) {
 	cfg.ApplyDefaults()
-	if drainBudget <= 0 {
-		drainBudget = 1_000_000
-	}
-	g := cfg.Grid()
-	alg, err := routing.Get(cfg.Algorithm)
+	out, errs, err := runBurstReplicas(cfg, []traffic.Workload{wl}, []uint64{cfg.Seed}, lastArrival, drainBudget)
 	if err != nil {
-		return BatchResult{}, err
+		return out[0], err
 	}
-	policy, err := routing.GetPolicy(cfg.Policy)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	res := BatchResult{Algorithm: cfg.Algorithm, Switching: cfg.Switching}
-	var hist stats.Histogram
-	onDeliver := func(m *message.Message) {
-		hist.Add(float64(m.Latency()))
-		if m.DeliverTime > res.Makespan {
-			res.Makespan = m.DeliverTime
-		}
-	}
-	switch cfg.Switching {
-	case Wormhole, CutThrough:
-		var tel *telemetry.Collector
-		if cfg.Telemetry != nil {
-			tel = telemetry.New(*cfg.Telemetry, g.ChannelSlots(), alg.NumVCs(g))
-		}
-		n, err := network.New(network.Config{
-			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
-			MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
-			InjectionPorts: cfg.InjectionPorts,
-			Seed:           cfg.Seed, OnDeliver: onDeliver, Telemetry: tel,
-		})
-		if err != nil {
-			return res, err
-		}
-		if err := n.Run(lastArrival + 1); err != nil {
-			return res, err
-		}
-		if err := n.Drain(drainBudget); err != nil {
-			return res, err
-		}
-		t := n.Total()
-		res.Delivered, res.Dropped, res.FlitMoves = t.Delivered, t.Dropped, t.FlitMoves
-		if tel != nil {
-			res.Telemetry = tel.Summary()
-			res.TraceEvents = tel.Events()
-		}
-	case StoreFwd:
-		n, err := saf.New(saf.Config{
-			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
-			MsgLen: cfg.MsgLen, CCLimit: cfg.CCLimit,
-			Seed: cfg.Seed, OnDeliver: onDeliver,
-		})
-		if err != nil {
-			return res, err
-		}
-		if err := n.Run(lastArrival + 1); err != nil {
-			return res, err
-		}
-		if err := n.Drain(drainBudget); err != nil {
-			return res, err
-		}
-		_, _, res.Dropped, res.Delivered = n.Counts()
-		res.FlitMoves = n.FlitMoves()
-	default:
-		return res, fmt.Errorf("core: unknown switching %q", cfg.Switching)
-	}
-	res.MeanLatency = hist.Mean()
-	res.LatencyP95 = hist.Quantile(0.95)
-	res.MaxLatency = hist.Max()
-	return res, nil
+	return out[0], errs[0]
 }
 
 // ReplicateBatch runs the permutation-burst experiment once per seed and
 // returns the replicas in seed order — the spread of makespans across seeds
-// is the batch experiments' error bar. Wormhole and vct configs ride the
-// batch lockstep engine in chunks of up to replicaChunk seeds (shared
-// tables, one fused sweep per cycle), spread across the work-stealing
-// scheduler; results are identical to running each seed sequentially.
-// Telemetry-carrying configs fall back to the scalar per-seed path (the
-// batch engine meters its observer replica only), as does saf.
+// is the batch experiments' error bar. The seeds ride the lockstep engine
+// in chunks of up to replicaChunk (shared tables, one fused sweep per
+// cycle), spread across the work-stealing scheduler; results are identical
+// to running each seed through RunBatch. Telemetry meters one replica per
+// batch and the saf engine has no lockstep form, so those configs run one
+// seed per chunk.
 func ReplicateBatch(cfg Config, patternSpec string, seeds []uint64, workers int, drainBudget int64) ([]BatchResult, error) {
-	if cfg.Switching == StoreFwd || cfg.Telemetry != nil {
-		return replicateBatchScalar(cfg, patternSpec, seeds, workers, drainBudget)
-	}
-	out := make([]BatchResult, len(seeds))
-	nChunks := (len(seeds) + replicaChunk - 1) / replicaChunk
-	errs := make([]error, nChunks)
-	s := NewScheduler(workers)
-	for lo := 0; lo < len(seeds); lo += replicaChunk {
-		lo := lo
-		hi := lo + replicaChunk
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
-		s.Submit(func(int) {
-			rs, err := runBurstReplicas(cfg, patternSpec, seeds[lo:hi], drainBudget)
-			copy(out[lo:hi], rs)
-			errs[lo/replicaChunk] = err
-		})
-	}
-	s.Close()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// replicateBatchScalar is ReplicateBatch's one-engine-per-seed path.
-func replicateBatchScalar(cfg Config, patternSpec string, seeds []uint64, workers int, drainBudget int64) ([]BatchResult, error) {
-	out := make([]BatchResult, len(seeds))
-	errs := make([]error, len(seeds))
-	s := NewScheduler(workers)
-	for j := range seeds {
-		j := j
-		s.Submit(func(int) {
-			c := cfg
-			c.Seed = seeds[j]
-			burst, err := PermutationBurst(c, patternSpec)
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			r, err := RunBatch(c, burst, burst.LastCycle(), drainBudget)
-			out[j] = r
-			if err != nil {
-				errs[j] = fmt.Errorf("core: batch replica seed=%#x: %w", seeds[j], err)
-			}
-		})
-	}
-	s.Close()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// runBurstReplicas drives one chunk of permutation-burst seeds to
-// completion on the batch engine. Each replica is stepped through the burst
-// window and then drained; a replica whose network empties drops out of the
-// live set (swap-remove) while its siblings keep draining. Per-replica
-// results mirror RunBatch exactly, including its partial fill on a watchdog
-// or drain-budget error.
-func runBurstReplicas(cfg Config, patternSpec string, seeds []uint64, drainBudget int64) ([]BatchResult, error) {
 	cfg.ApplyDefaults()
-	if drainBudget <= 0 {
-		drainBudget = 1_000_000
+	chunk := replicaChunk
+	if cfg.Switching == StoreFwd || cfg.Telemetry != nil {
+		chunk = 1
 	}
-	g := cfg.Grid()
 	out := make([]BatchResult, len(seeds))
-	for r := range out {
-		out[r] = BatchResult{Algorithm: cfg.Algorithm, Switching: cfg.Switching}
+	errs := make([]error, (len(seeds)+chunk-1)/chunk)
+	s := NewScheduler(workers)
+	for lo := 0; lo < len(seeds); lo += chunk {
+		hi := min(lo+chunk, len(seeds))
+		s.Submit(func(int) {
+			errs[lo/chunk] = replicateChunk(cfg, patternSpec, seeds[lo:hi], out[lo:hi], drainBudget)
+		})
 	}
-	alg, err := routing.Get(cfg.Algorithm)
-	if err != nil {
-		return out, err
+	s.Close()
+	for _, err := range errs {
+		if err != nil {
+			return out, err
+		}
 	}
-	policy, err := routing.GetPolicy(cfg.Policy)
-	if err != nil {
-		return out, err
-	}
+	return out, nil
+}
+
+// replicateChunk runs one chunk of permutation-burst seeds into out and
+// returns the first replica's error, tagged with its seed.
+func replicateChunk(cfg Config, patternSpec string, seeds []uint64, out []BatchResult, drainBudget int64) error {
 	wls := make([]traffic.Workload, len(seeds))
 	last := int64(0)
 	for r, seed := range seeds {
@@ -223,18 +101,57 @@ func runBurstReplicas(cfg Config, patternSpec string, seeds []uint64, drainBudge
 		c.Seed = seed
 		burst, err := PermutationBurst(c, patternSpec)
 		if err != nil {
-			return out, err
+			return err
 		}
 		wls[r] = burst
-		if lc := burst.LastCycle(); lc > last {
-			last = lc
+		last = max(last, burst.LastCycle())
+	}
+	rs, errs, err := runBurstReplicas(cfg, wls, seeds, last, drainBudget)
+	copy(out, rs)
+	if err != nil {
+		return err
+	}
+	for r, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: batch replica seed=%#x: %w", seeds[r], err)
 		}
 	}
+	return nil
+}
+
+// runBurstReplicas drives one finite workload per seed to completion on
+// one lockstep engine. Each replica is stepped through the arrival window
+// and then drained; a replica whose network empties drops out of the live
+// set while its siblings keep draining. It returns one BatchResult and one
+// watchdog or drain-budget error per seed — an erring replica's totals stay
+// unfilled — and a setup error.
+func runBurstReplicas(cfg Config, wls []traffic.Workload, seeds []uint64, last, drainBudget int64) ([]BatchResult, []error, error) {
+	if drainBudget <= 0 {
+		drainBudget = 1_000_000
+	}
+	g := cfg.Grid()
+	out := make([]BatchResult, len(seeds))
+	errs := make([]error, len(seeds))
+	for r := range out {
+		out[r] = BatchResult{Algorithm: cfg.Algorithm, Switching: cfg.Switching}
+	}
+	alg, err := routing.Get(cfg.Algorithm)
+	if err != nil {
+		return out, errs, err
+	}
+	policy, err := routing.GetPolicy(cfg.Policy)
+	if err != nil {
+		return out, errs, err
+	}
+	var tel *telemetry.Collector
+	if cfg.Telemetry != nil && cfg.Switching != StoreFwd {
+		tel = telemetry.New(*cfg.Telemetry, g.ChannelSlots(), alg.NumVCs(g))
+	}
 	hists := make([]stats.Histogram, len(seeds))
-	bn, err := network.NewBatch(network.BatchConfig{
+	eng, err := newLockstep(cfg.Switching, network.BatchConfig{
 		Grid: g, Algorithm: alg, Policy: policy, Workloads: wls, Seeds: seeds,
 		MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
-		InjectionPorts: cfg.InjectionPorts,
+		InjectionPorts: cfg.InjectionPorts, Telemetry: tel,
 		OnDeliver: func(r int, m *message.Message) {
 			hists[r].Add(float64(m.Latency()))
 			if m.DeliverTime > out[r].Makespan {
@@ -243,52 +160,42 @@ func runBurstReplicas(cfg Config, patternSpec string, seeds []uint64, drainBudge
 		},
 	})
 	if err != nil {
-		return out, err
+		return out, errs, err
 	}
-	errs := make([]error, len(seeds))
-	step := func() {
-		for _, f := range bn.Step() {
-			errs[f.Replica] = f.Err
-			bn.Deactivate(f.Replica)
-		}
+	// The arrival window, then the drain: a replica leaves the live set the
+	// moment its network empties.
+	for i := int64(0); i <= last && eng.Live() > 0; i++ {
+		eng.step(errs)
 	}
-	// The burst window, then the drain: a replica leaves the live set the
-	// moment its network empties, exactly when its scalar Drain would have
-	// returned.
-	for i := int64(0); i <= last && bn.Live() > 0; i++ {
-		step()
-	}
-	for i := int64(0); i < drainBudget && bn.Live() > 0; i++ {
+	for i := int64(0); i < drainBudget && eng.Live() > 0; i++ {
 		for r := range seeds {
-			if bn.IsLive(r) && bn.InFlight(r) == 0 {
-				bn.Deactivate(r)
+			if eng.IsLive(r) && eng.InFlight(r) == 0 {
+				eng.Deactivate(r)
 			}
 		}
-		if bn.Live() == 0 {
+		if eng.Live() == 0 {
 			break
 		}
-		step()
+		eng.step(errs)
 	}
 	for r := range seeds {
-		if bn.IsLive(r) && bn.InFlight(r) > 0 && errs[r] == nil {
-			errs[r] = fmt.Errorf("network: %d messages still in flight after %d drain cycles", bn.InFlight(r), drainBudget)
+		if errs[r] == nil && eng.InFlight(r) > 0 {
+			errs[r] = fmt.Errorf("core: %d messages still in flight after %d drain cycles", eng.InFlight(r), drainBudget)
 		}
-	}
-	var firstErr error
-	for r := range seeds {
 		if errs[r] != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: batch replica seed=%#x: %w", seeds[r], errs[r])
-			}
-			continue // RunBatch leaves totals unfilled on error
+			continue
 		}
-		t := bn.Total(r)
+		t := eng.Total(r)
 		out[r].Delivered, out[r].Dropped, out[r].FlitMoves = t.Delivered, t.Dropped, t.FlitMoves
 		out[r].MeanLatency = hists[r].Mean()
 		out[r].LatencyP95 = hists[r].Quantile(0.95)
 		out[r].MaxLatency = hists[r].Max()
+		if r == 0 && tel != nil {
+			out[r].Telemetry = tel.Summary()
+			out[r].TraceEvents = tel.Events()
+		}
 	}
-	return out, firstErr
+	return out, errs, nil
 }
 
 // PermutationBurst builds a trace that injects every source's message for

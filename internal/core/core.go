@@ -7,18 +7,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 
 	"wormsim/internal/forensics"
-	"wormsim/internal/message"
 	"wormsim/internal/network"
-	"wormsim/internal/routing"
-	"wormsim/internal/saf"
-	"wormsim/internal/stats"
 	"wormsim/internal/telemetry"
 	"wormsim/internal/topology"
-	"wormsim/internal/traffic"
 )
 
 // Switching selects the switching technique.
@@ -341,286 +335,17 @@ func (r Result) String() string {
 		r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, r.Dropped, state)
 }
 
-// stepper abstracts the two engines for the measurement loop.
-type stepper interface {
-	Step() error
-	Reseed(seed uint64)
-}
-
-// safAdapter adds Reseed to the saf engine.
-type safAdapter struct {
-	*saf.Network
-	wl traffic.Workload
-}
-
-func (a safAdapter) Reseed(seed uint64) { a.wl.Reseed(seed) }
-
-// Run executes one simulation point.
+// Run executes one simulation point: the methodology loop of RunReplicas
+// with cfg.Seed as its only seed. It never consults Config.Cache (RunCached
+// does). A watchdog deadlock returns the engine's error together with a
+// Result that has Deadlocked set and describes the run up to the stall.
 func Run(cfg Config) (Result, error) {
 	cfg.ApplyDefaults()
-	g := cfg.Grid()
-	alg, err := routing.Get(cfg.Algorithm)
+	rs, deadlocks, err := runLockstep(cfg, []uint64{cfg.Seed})
 	if err != nil {
-		return Result{}, err
+		return rs[0], err
 	}
-	if err := alg.Compatible(g); err != nil {
-		return Result{}, err
-	}
-	pattern, err := traffic.Parse(g, cfg.Pattern)
-	if err != nil {
-		return Result{}, err
-	}
-	policy, err := routing.GetPolicy(cfg.Policy)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Probe the pattern's mean distance with a zero-rate workload, then
-	// derive lambda via eq. (4): rho = lambda * msgLen * meanDist / 2n.
-	probe := traffic.NewBernoulli(g, pattern, 0, cfg.Seed)
-	meanDist := probe.MeanDistance()
-	lambda := cfg.InjectionRate
-	if lambda == 0 {
-		if meanDist == 0 {
-			return Result{}, fmt.Errorf("core: pattern %s generates no traffic", cfg.Pattern)
-		}
-		lambda = cfg.OfferedLoad * float64(2*g.N()) / (float64(cfg.MsgLen) * meanDist)
-	}
-	if lambda > 1 {
-		return Result{}, fmt.Errorf("core: offered load %.3g needs injection rate %.3g > 1 message/node/cycle", cfg.OfferedLoad, lambda)
-	}
-	wl := traffic.NewBernoulli(g, pattern, lambda, cfg.Seed)
-
-	res := Result{
-		Algorithm:     cfg.Algorithm,
-		Pattern:       cfg.Pattern,
-		Switching:     cfg.Switching,
-		K:             cfg.K,
-		N:             cfg.N,
-		Mesh:          cfg.Mesh,
-		OfferedLoad:   cfg.OfferedLoad,
-		InjectionRate: lambda,
-		MeanDistance:  meanDist,
-	}
-
-	// The delivery hook routes latencies into the current sample's
-	// stratified estimator (nil outside measured windows).
-	var sample *stats.Stratified
-	hopStats := make([]stats.Welford, g.Diameter()+1)
-	var latHist stats.Histogram
-	onDeliver := func(m *message.Message) {
-		if sample != nil {
-			sample.Add(m.HopsTotal, float64(m.Latency()))
-			hopStats[m.HopsTotal].Add(float64(m.Latency()))
-			latHist.Add(float64(m.Latency()))
-		}
-	}
-
-	var st stepper
-	var wn *network.Network
-	var sn *saf.Network
-	var tel *telemetry.Collector
-	if cfg.Telemetry != nil && cfg.Switching != StoreFwd {
-		tel = telemetry.New(*cfg.Telemetry, g.ChannelSlots(), alg.NumVCs(g))
-	}
-	var fore *forensics.Analyzer
-	if cfg.Forensics != nil && cfg.Switching != StoreFwd {
-		fore = forensics.New(*cfg.Forensics, g.ChannelSlots())
-	}
-	switch cfg.Switching {
-	case Wormhole, CutThrough:
-		wn, err = network.New(network.Config{
-			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
-			MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
-			InjectionPorts: cfg.InjectionPorts, RouteDelay: cfg.RouteDelay,
-			Seed: cfg.Seed, OnDeliver: onDeliver, Telemetry: tel, Phases: cfg.PhaseProf,
-			Forensics: fore,
-		})
-		if err != nil {
-			return res, err
-		}
-		st = wn
-	case StoreFwd:
-		sn, err = saf.New(saf.Config{
-			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
-			MsgLen: cfg.MsgLen, CCLimit: cfg.CCLimit,
-			Seed: cfg.Seed, OnDeliver: onDeliver,
-		})
-		if err != nil {
-			return res, err
-		}
-		st = safAdapter{sn, wl}
-	default:
-		return res, fmt.Errorf("core: unknown switching %q", cfg.Switching)
-	}
-
-	// The tick publication: every tickGap cycles OnTick receives a deep copy
-	// of the observable state (wormhole/vct only — the saf engine has no
-	// flit-level channels to publish).
-	var tickGap, sinceTick, lastRecorded int64
-	if cfg.OnTick != nil && wn != nil {
-		tickGap = cfg.TickCycles
-		if tickGap <= 0 {
-			tickGap = 1000
-		}
-	}
-	emitTick := func(final bool) {
-		ev := TickEvent{
-			Algorithm: cfg.Algorithm, Pattern: cfg.Pattern, Switching: cfg.Switching,
-			K: cfg.K, N: cfg.N, Mesh: cfg.Mesh, OfferedLoad: cfg.OfferedLoad, Seed: cfg.Seed,
-			Cycle: wn.Now(), InFlight: wn.InFlight(),
-			Counters:     wn.Total(),
-			Worms:        wn.WormStates(),
-			ChannelFlits: wn.ChannelFlitCounts(),
-			Final:        final,
-		}
-		if fore != nil {
-			ev.Forensics = fore.Summary()
-		}
-		if tel != nil {
-			ev.Telemetry = tel.Summary()
-			if fresh := tel.Recorded() - lastRecorded; fresh > 0 {
-				if fresh > 64 {
-					fresh = 64
-				}
-				ev.Events = tel.LastEvents(int(fresh))
-			}
-			lastRecorded = tel.Recorded()
-		}
-		cfg.OnTick(ev)
-	}
-	runFor := func(cycles int64) error {
-		for i := int64(0); i < cycles; i++ {
-			if err := st.Step(); err != nil {
-				return err
-			}
-			if tickGap > 0 {
-				if sinceTick++; sinceTick >= tickGap {
-					sinceTick = 0
-					emitTick(false)
-				}
-			}
-		}
-		return nil
-	}
-
-	weights := wl.HopClassWeights()
-	conv := &stats.Convergence{MinSamples: cfg.MinSamples, MaxSamples: cfg.MaxSamples, Tolerance: cfg.Tolerance}
-	var thr stats.Welford
-	var deadlock error
-
-	finish := func() {
-		res.Cycles = cfgCycles(cfg, conv.Samples())
-		if wn != nil {
-			t := wn.Total()
-			res.Generated, res.Admitted, res.Dropped, res.Delivered = t.Generated, t.Admitted, t.Dropped, t.Delivered
-			if t.FlitMoves > 0 {
-				res.VCFlitShare = make([]float64, len(t.FlitMovesByClass))
-				for i, f := range t.FlitMovesByClass {
-					res.VCFlitShare[i] = float64(f) / float64(t.FlitMoves)
-				}
-			}
-		} else {
-			res.Generated, res.Admitted, res.Dropped, res.Delivered = sn.Counts()
-		}
-		res.HopClassLatency = make([]float64, len(hopStats))
-		for i := range hopStats {
-			if hopStats[i].Count() == 0 {
-				res.HopClassLatency[i] = -1 // unobserved (JSON has no NaN)
-			} else {
-				res.HopClassLatency[i] = hopStats[i].Mean()
-			}
-		}
-		if wn != nil {
-			res.ChannelFlits = wn.ChannelFlitCounts()
-		}
-		res.Samples = conv.Samples()
-		res.Throughput = thr.Mean()
-		if latHist.Count() > 0 {
-			q := latHist.Quantiles(0.5, 0.95, 0.99)
-			res.LatencyP50, res.LatencyP95, res.LatencyP99 = q[0], q[1], q[2]
-			res.LatencyMax = latHist.Max()
-		}
-		if tel != nil {
-			res.Telemetry = tel.Summary()
-			res.TraceEvents = tel.Events()
-		}
-		if fore != nil {
-			res.Forensics = fore.Summary()
-		}
-		if tickGap > 0 {
-			emitTick(true)
-		}
-	}
-
-	if err := runFor(cfg.WarmupCycles); err != nil {
-		deadlock = err
-	}
-	var lastBound float64
-	for deadlock == nil {
-		sample = stats.NewStratified(weights)
-		if wn != nil {
-			wn.ResetWindow()
-		}
-		startMoves, startCycles := engineWindow(wn, sn)
-		if err := runFor(cfg.SampleCycles); err != nil {
-			deadlock = err
-			break
-		}
-		endMoves, endCycles := engineWindow(wn, sn)
-		if endCycles > startCycles {
-			thr.Add(float64(endMoves-startMoves) / (float64(endCycles-startCycles) * float64(g.NumChannels())))
-		}
-		conv.Record(sample.Mean())
-		lastBound = sample.ErrorBound()
-		done := conv.Done(sample)
-		if cfg.OnSample != nil {
-			cfg.OnSample(SampleEvent{
-				Sample: conv.Samples(), MaxSamples: cfg.MaxSamples,
-				Mean: sample.Mean(), Bound: lastBound, Done: done,
-			})
-		}
-		sample = nil
-		if done {
-			res.Converged = conv.Samples() < cfg.MaxSamples
-			break
-		}
-		// Unmeasured gap with fresh random streams, per the paper.
-		st.Reseed(cfg.Seed + uint64(conv.Samples())*0x9e3779b97f4a7c15)
-		if err := runFor(cfg.GapCycles); err != nil {
-			deadlock = err
-			break
-		}
-	}
-
-	acrossBound, acrossMean := conv.AcrossSampleBound()
-	res.AvgLatency = acrossMean
-	res.LatencyBound = math.Max(lastBound, acrossBound)
-	if math.IsInf(res.LatencyBound, 1) {
-		res.LatencyBound = lastBound
-	}
-	finish()
-	if deadlock != nil {
-		res.Deadlocked = true
-		res.Converged = false
-		return res, deadlock
-	}
-	return res, nil
-}
-
-// engineWindow reads cumulative flit moves and cycles from whichever engine
-// is active.
-func engineWindow(wn *network.Network, sn *saf.Network) (moves, cycles int64) {
-	if wn != nil {
-		t := wn.Total()
-		return t.FlitMoves, t.Cycles
-	}
-	return sn.FlitMoves(), sn.Now()
-}
-
-// cfgCycles estimates cycles simulated for reporting.
-func cfgCycles(cfg Config, samples int) int64 {
-	return cfg.WarmupCycles + int64(samples)*(cfg.SampleCycles+cfg.GapCycles)
+	return rs[0], deadlocks[0]
 }
 
 // RunCached executes one simulation point through cfg.Cache: a hit returns
@@ -684,7 +409,6 @@ func SweepObserved(cfg Config, loads []float64, workers int, onDone func(i int, 
 	errs := make([]error, len(loads))
 	s := NewScheduler(workers)
 	for i := range loads {
-		i := i
 		s.Submit(func(int) {
 			c := cfg
 			c.OfferedLoad = loads[i]

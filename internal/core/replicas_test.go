@@ -32,9 +32,12 @@ func (c *mapCache) Store(hash string, _ Config, r Result) error {
 	return nil
 }
 
-// TestRunReplicasMatchesRun pins the batch plumbing's contract: every
-// replica's Result is equal — field for field — to a scalar Run of the same
-// config and seed, across switching techniques and algorithms.
+// TestRunReplicasMatchesRun pins the lockstep contract: every replica of an
+// R-wide batch has a Result equal — field for field — to Run of the same
+// config and seed, a batch of one, across switching techniques and
+// algorithms. The engine-level reference, replica against the scalar
+// network.Network, is TestBatchScalarBitIdentity; the figures golden pins
+// Run's numbers.
 func TestRunReplicasMatchesRun(t *testing.T) {
 	seeds := []uint64{5, 19, 77}
 	cases := []struct {
@@ -77,7 +80,7 @@ func TestRunReplicasMatchesRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got[i], want) {
-					t.Errorf("seed %d: replica result diverges from scalar Run\n got: %+v\nwant: %+v", seed, got[i], want)
+					t.Errorf("seed %d: replica result diverges from Run\n got: %+v\nwant: %+v", seed, got[i], want)
 				}
 			}
 		})
@@ -85,8 +88,8 @@ func TestRunReplicasMatchesRun(t *testing.T) {
 }
 
 // TestRunReplicasObserverInstruments: telemetry and forensics attach to the
-// first replica only, whose summaries match an instrumented scalar Run; the
-// sibling replicas' numbers match bare scalar runs (instrumentation is
+// first replica only, whose summaries match an instrumented Run; the
+// sibling replicas' numbers match bare runs (instrumentation is
 // observation, never perturbation).
 func TestRunReplicasObserverInstruments(t *testing.T) {
 	cfg := quick("nbc")
@@ -105,7 +108,7 @@ func TestRunReplicasObserverInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got[0], want0) {
-		t.Errorf("observer replica diverges from instrumented scalar Run\n got: %+v\nwant: %+v", got[0], want0)
+		t.Errorf("observer replica diverges from instrumented Run\n got: %+v\nwant: %+v", got[0], want0)
 	}
 	if got[0].Telemetry == nil || got[0].Forensics == nil || len(got[0].TraceEvents) == 0 {
 		t.Fatal("observer replica missing instrument output")
@@ -121,19 +124,19 @@ func TestRunReplicasObserverInstruments(t *testing.T) {
 		t.Error("non-observer replica carries instrument output")
 	}
 	if !reflect.DeepEqual(got[1], want1) {
-		t.Errorf("sibling replica diverges from bare scalar Run\n got: %+v\nwant: %+v", got[1], want1)
+		t.Errorf("sibling replica diverges from bare Run\n got: %+v\nwant: %+v", got[1], want1)
 	}
 }
 
 // TestRunReplicasCache: the per-seed cache consult serves hits without
-// engine work, fills misses, and mixes freely with scalar RunCached entries
+// engine work, fills misses, and mixes freely with RunCached entries
 // (same hashes, same stored bits).
 func TestRunReplicasCache(t *testing.T) {
 	cfg := quick("phop")
 	cfg.Cache = newMapCache()
 	seeds := []uint64{5, 19, 77}
 
-	// Pre-populate one seed via the scalar path.
+	// Pre-populate one seed via RunCached.
 	pre := cfg
 	pre.Seed = seeds[1]
 	preRes, hit, err := RunCached(pre)
@@ -149,11 +152,11 @@ func TestRunReplicasCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first[1], preRes) {
-		t.Error("cache hit differs from stored scalar result")
+		t.Error("cache hit differs from the RunCached result")
 	}
 
 	// Every seed is now stored; a second call must be all hits, and a
-	// scalar RunCached must hit the batch-stored entries.
+	// RunCached must hit the batch-stored entries.
 	mc := cfg.Cache.(*mapCache)
 	stored := len(mc.m)
 	if stored != len(seeds) {
@@ -173,15 +176,15 @@ func TestRunReplicasCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Error("scalar RunCached missed a batch-stored entry")
+		t.Error("RunCached missed a batch-stored entry")
 	}
 	if !reflect.DeepEqual(r2, first[2]) {
-		t.Error("scalar hit differs from batch result")
+		t.Error("RunCached hit differs from batch result")
 	}
 }
 
 // TestRunReplicasEmptyAndSingle: degenerate widths work — zero seeds is a
-// no-op, one seed matches scalar Run exactly.
+// no-op, one seed matches Run exactly.
 func TestRunReplicasEmptyAndSingle(t *testing.T) {
 	if rs, err := RunReplicas(quick("ecube"), nil); err != nil || len(rs) != 0 {
 		t.Fatalf("empty seeds: %v, %d results", err, len(rs))
@@ -196,6 +199,6 @@ func TestRunReplicasEmptyAndSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got[0], want) {
-		t.Errorf("single replica diverges from scalar Run\n got: %+v\nwant: %+v", got[0], want)
+		t.Errorf("single replica diverges from Run\n got: %+v\nwant: %+v", got[0], want)
 	}
 }

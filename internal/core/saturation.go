@@ -24,9 +24,8 @@ func FindSaturation(cfg Config, lo, hi, tol, slack float64) (load float64, at Re
 	tracks := func(rho float64) (bool, Result, error) {
 		c := cfg
 		c.OfferedLoad = rho
-		// Probe through the batch engine at width one: the same Result as
-		// Run (TestRunReplicasMatchesRun), on the code path the sweeps use,
-		// with RunReplicas' per-seed cache consult when cfg.Cache is set.
+		// Probe through RunReplicas at width one: Run's Result, with the
+		// per-seed cache consult when cfg.Cache is set.
 		rs, err := RunReplicas(c, []uint64{c.Seed})
 		if err != nil {
 			return false, Result{}, err

@@ -199,14 +199,12 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 	s := NewScheduler(workers)
 	for i := range loads {
 		out[i] = ReplicatedResult{OfferedLoad: loads[i], Replicas: make([]Result, len(seeds))}
-		i := i
 		s.Submit(func(w int) {
 			// Fan the seeds out in replica chunks: each chunk rides the batch
 			// lockstep engine (one fused sweep per cycle across its seeds,
 			// shared tables), and chunks of one load spread across idle
 			// workers like any other stolen task.
 			for lo := 0; lo < len(seeds); lo += replicaChunk {
-				lo := lo
 				hi := lo + replicaChunk
 				if hi > len(seeds) {
 					hi = len(seeds)

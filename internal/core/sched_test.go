@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wormsim/internal/telemetry"
 )
 
 func TestSchedulerRunsEveryItem(t *testing.T) {
@@ -166,26 +168,35 @@ func TestSweepReplicatedMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
+// TestReplicateBatchMatchesSequential: every replica equals RunBatch of its
+// seed; with Telemetry set, every seed carries its own summary.
 func TestReplicateBatchMatchesSequential(t *testing.T) {
-	cfg := Config{K: 4, N: 2, Algorithm: "nbc", Seed: 1}
-	seeds := []uint64{7, 13}
-	got, err := ReplicateBatch(cfg, "transpose", seeds, 2, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		burst, err := PermutationBurst(c, "transpose")
+	bare := Config{K: 4, N: 2, Algorithm: "nbc", Seed: 1}
+	metered := bare
+	metered.Telemetry = &telemetry.Options{Metrics: true}
+	for _, cfg := range []Config{bare, metered} {
+		seeds := []uint64{7, 13}
+		got, err := ReplicateBatch(cfg, "transpose", seeds, 2, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunBatch(c, burst, burst.LastCycle(), 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[j], want) {
-			t.Errorf("seed %d: replica diverged from sequential run:\ngot:  %+v\nwant: %+v", seed, got[j], want)
+		for j, seed := range seeds {
+			c := cfg
+			c.Seed = seed
+			burst, err := PermutationBurst(c, "transpose")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunBatch(c, burst, burst.LastCycle(), 100000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[j], want) {
+				t.Errorf("seed %d: replica diverged from sequential run:\ngot:  %+v\nwant: %+v", seed, got[j], want)
+			}
+			if (got[j].Telemetry != nil) != (cfg.Telemetry != nil) {
+				t.Errorf("seed %d: telemetry summary present=%v with Telemetry set=%v", seed, got[j].Telemetry != nil, cfg.Telemetry != nil)
+			}
 		}
 	}
 }

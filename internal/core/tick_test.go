@@ -76,3 +76,51 @@ func TestObserversDoNotPerturb(t *testing.T) {
 		t.Errorf("phase profiler saw nothing: %+v", s)
 	}
 }
+
+// TestRunReplicasTicksPerSeed: OnTick publishes one replica's state, so
+// RunReplicas runs OnTick configs one seed per batch — every seed publishes
+// its own stream, one seed after another, ending in exactly one Final tick,
+// and each stream and Result equal a Run of that seed.
+func TestRunReplicasTicksPerSeed(t *testing.T) {
+	cfg := quickTelCfg()
+	cfg.TickCycles = 200
+	seeds := []uint64{5, 19, 77}
+	var got []TickEvent
+	cfg.OnTick = func(ev TickEvent) { got = append(got, ev) }
+	results, err := RunReplicas(cfg, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		var want []TickEvent
+		c := cfg
+		c.Seed = seed
+		c.OnTick = func(ev TickEvent) { want = append(want, ev) }
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[i], res) {
+			t.Errorf("seed %d: replica result diverges from Run", seed)
+		}
+		if len(want) < 2 || len(got) < len(want) {
+			t.Fatalf("seed %d: %d ticks left for a stream of %d", seed, len(got), len(want))
+		}
+		stream := got[:len(want)]
+		got = got[len(want):]
+		for j, ev := range stream {
+			if ev.Seed != seed || ev.Final != (j == len(stream)-1) {
+				t.Fatalf("seed %d: tick %d is seed %d, Final=%v", seed, j, ev.Seed, ev.Final)
+			}
+		}
+		if !reflect.DeepEqual(stream, want) {
+			t.Errorf("seed %d: published ticks differ from Run's", seed)
+		}
+		if last := stream[len(stream)-1]; last.Counters.Delivered != res.Delivered {
+			t.Errorf("seed %d: final tick delivered %d, result says %d", seed, last.Counters.Delivered, res.Delivered)
+		}
+	}
+	if len(got) != 0 {
+		t.Errorf("%d ticks beyond the seeds' streams", len(got))
+	}
+}

@@ -11,8 +11,9 @@ package lint
 // a checked array to be derived from a blessed producer:
 //
 //   - positions: aIdx[slot], range/loop offsets over the active list or a
-//     position array, len(active)-style bounds arithmetic, or a parameter
-//     named in PosParams;
+//     position array, len(active)-style bounds arithmetic, a uniform draw
+//     below such a bound (rt.Intn(len(active))), or a parameter named in
+//     PosParams;
 //   - slot ids: elements of the active/free/shortlist slices, configured
 //     slot-carrying struct fields, blessed producers (newInjSlotR), the
 //     ch*numVCs+vc packing arithmetic, or a parameter named in SlotParams.
@@ -53,6 +54,9 @@ type IndexDiscipline struct {
 	SlotFields map[string]bool
 	// SlotProducers are target-package functions returning fresh slot ids.
 	SlotProducers map[string]bool
+	// PosDraws are methods drawing uniformly from [0, arg): given a
+	// position bound they return a position (the rotated scan start).
+	PosDraws map[string]bool
 	// SlotFactor names the field whose multiply-add packing produces slot
 	// ids (ch*numVCs + vc).
 	SlotFactor string
@@ -74,6 +78,7 @@ func NewIndexDiscipline() *IndexDiscipline {
 		PosParams:     map[string]bool{"pos": true},
 		SlotFields:    map[string]bool{"wormRef.vc": true},
 		SlotProducers: map[string]bool{"newInjSlotR": true},
+		PosDraws:      map[string]bool{"Intn": true},
 		SlotFactor:    "numVCs",
 	}
 }
@@ -354,12 +359,18 @@ func (s *idxScope) exprBlessWith(e ast.Expr, bless map[types.Object]int) int {
 		return 0
 	case *ast.CallExpr:
 		// Conversions are transparent; blessed producers yield slot ids;
-		// len(<position array>) is a position bound.
+		// len(<position array>) is a position bound, and a draw below one a
+		// position.
 		if tv, ok := s.pkg.Info.Types[t.Fun]; ok && tv.IsType() && len(t.Args) == 1 {
 			return s.exprBlessWith(t.Args[0], bless)
 		}
-		if fn := calleeFunc(s.pkg, t); fn != nil && s.pass.SlotProducers[fn.Name()] {
-			return blessSlot
+		if fn := calleeFunc(s.pkg, t); fn != nil {
+			if s.pass.SlotProducers[fn.Name()] {
+				return blessSlot
+			}
+			if s.pass.PosDraws[fn.Name()] && len(t.Args) == 1 {
+				return s.exprBlessWith(t.Args[0], bless) & blessPos
+			}
 		}
 		if id, ok := unparen(t.Fun).(*ast.Ident); ok && id.Name == "len" && len(t.Args) == 1 {
 			if s.pass.PosArrays[s.arrayName(t.Args[0])] {

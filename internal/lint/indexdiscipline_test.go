@@ -14,6 +14,7 @@ func indexFixturePass(p *Package) *IndexDiscipline {
 		SlotSlices: map[string]bool{"act": true},
 		SlotParams: map[string]bool{"id": true},
 		PosParams:  map[string]bool{"pos": true},
+		PosDraws:   map[string]bool{"Intn": true},
 		SlotFactor: "numVCs",
 	}
 }

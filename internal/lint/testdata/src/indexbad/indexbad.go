@@ -1,8 +1,9 @@
 // Package indexbad exercises the indexdiscipline pass: dense position
 // arrays indexed by slot ids, slot-id arrays indexed by loop positions, and
 // blessed uses (active-list iteration, aIdx translation, ch*numVCs+vc
-// packing, len-bounded counters) that must stay silent. Expected findings
-// carry trailing "// WANT indexdiscipline" markers.
+// packing, len-bounded counters, draws below a position bound) that must
+// stay silent. Expected findings carry trailing "// WANT indexdiscipline"
+// markers.
 package indexbad
 
 // BEng is the miniature batch engine under audit.
@@ -11,6 +12,16 @@ type BEng struct {
 	aIdx   []int32
 	act    []int32
 	numVCs int32
+	rt     *stream
+}
+
+// stream stands in for the engine's random stream.
+type stream struct{ state uint64 }
+
+// Intn draws uniformly from [0, n).
+func (s *stream) Intn(n int) int {
+	s.state = s.state*6364136223846793005 + 1
+	return int(s.state>>33) % n
 }
 
 // Step is the audited root.
@@ -22,6 +33,7 @@ func (b *BEng) Step() {
 	b.posLoop()
 	b.mixedUp()
 	b.pack(3, 1)
+	b.rotated(len(b.act))
 }
 
 // consume's id parameter is blessed by name; the aIdx hop translates it to
@@ -51,4 +63,21 @@ func (b *BEng) mixedUp() {
 func (b *BEng) pack(ch, vc int32) {
 	t := ch*b.numVCs + vc
 	b.aIdx[t]++
+}
+
+// rotated scans the position array from a random start, wrapping once: a
+// draw below len(hot) is a position, a draw below an arbitrary count is not,
+// and a position still must not index the slot-id array.
+func (b *BEng) rotated(n int) {
+	count := len(b.hot)
+	next := b.rt.Intn(count)
+	for i := 0; i < count; i++ {
+		pos := next
+		if next++; next == count {
+			next -= count
+		}
+		b.hot[pos]++
+	}
+	b.hot[b.rt.Intn(n)]++           // WANT indexdiscipline
+	b.aIdx[b.rt.Intn(len(b.hot))]++ // WANT indexdiscipline
 }

@@ -12,7 +12,7 @@ import "wormsim/internal/topology"
 // every field (via the same code path New uses, consuming identical tieBreak
 // draws), recycled worms are indistinguishable from fresh ones. Results and
 // traces of a run are therefore bit-identical with or without recycling,
-// which TestPooledRunsAreBitIdentical pins.
+// which TestPoolGetMatchesNew pins.
 //
 // Contract for callers holding *Message pointers (OnDeliver hooks, trace
 // tooling): the pointer stays valid and its fields untouched until the pool

@@ -9,7 +9,9 @@ import (
 
 // TestPoolGetMatchesNew: a recycled message must be field-for-field equal to
 // a freshly constructed one, including after its previous life mutated every
-// routing field.
+// routing field, and its reinitialization must consume the same tie-break
+// draws — the property that makes a run on a recycled pool bit-identical to
+// one on a fresh pool.
 func TestPoolGetMatchesNew(t *testing.T) {
 	g := topology.NewTorus(8, 2)
 	p := NewPool()
@@ -24,13 +26,19 @@ func TestPoolGetMatchesNew(t *testing.T) {
 	m.DeliverTime = 900
 	p.Put(m)
 
-	got := p.Get(g, 2, 10, 60, 16, 200, nil)
-	want := New(g, 2, 10, 60, 16, 200, nil)
+	// Even k: the route ties at the half ring in both dimensions.
+	src, dst := g.ID([]int{0, 0}), g.ID([]int{4, 4})
+	var drawsPool, drawsNew int
+	got := p.Get(g, 2, src, dst, 16, 200, func(int) bool { drawsPool++; return drawsPool%2 == 0 })
+	want := New(g, 2, src, dst, 16, 200, func(int) bool { drawsNew++; return drawsNew%2 == 0 })
 	if got != m {
 		t.Fatalf("pool did not recycle: got %p, put %p", got, m)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("recycled message %+v\n differs from fresh %+v", got, want)
+	}
+	if drawsNew == 0 || drawsPool != drawsNew {
+		t.Errorf("tie-break draws: New made %d, recycled Get made %d", drawsNew, drawsPool)
 	}
 	if gets, reuses := p.Stats(); gets != 2 || reuses != 1 {
 		t.Errorf("stats gets=%d reuses=%d, want 2, 1", gets, reuses)

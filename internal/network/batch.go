@@ -131,14 +131,6 @@ type batchReplica struct {
 	aIdx   []int32
 	occ    []uint64
 
-	// headerIDs lists the slot ids holding an arrived, unrouted header —
-	// the only slots the allocation phase can act on. The scalar engine
-	// rediscovers them by scanning the whole active list from a rotating
-	// start; the batch engine visits exactly these ids in the same rotated
-	// position order, a shortcut kept batch-only so the scalar hot path
-	// stays the reference transcription.
-	headerIDs []int32
-
 	injFree  []int32
 	nextSlot int32
 
@@ -183,19 +175,6 @@ func (rep *batchReplica) clearActive(id int32) {
 	rep.occ[id>>6] &^= 1 << (uint(id) & 63)
 }
 
-// dropHeaderID removes id from the arrived-unrouted-header list (order is
-// irrelevant — the allocation phase sorts by position).
-func (rep *batchReplica) dropHeaderID(id int32) {
-	for i, h := range rep.headerIDs {
-		if h == id {
-			last := len(rep.headerIDs) - 1
-			rep.headerIDs[i] = rep.headerIDs[last]
-			rep.headerIDs = rep.headerIDs[:last]
-			return
-		}
-	}
-}
-
 // BatchNetwork runs R independent replicas of one network config in
 // lockstep: one Step advances every live replica by one cycle through a
 // fused inject/route/transfer sweep. The replicas share the precomputed
@@ -208,11 +187,10 @@ func (rep *batchReplica) dropHeaderID(id int32) {
 // Every replica is bit-identical to a scalar Network built from the same
 // config and seed: the per-replica control flow reproduces the scalar
 // cycle's decisions exactly (same iteration orders, same RNG draw order,
-// same arbitration), only the memory layout, the arrival-draw batching and
-// the allocation phase's header shortlist differ — each a pure reordering
-// or exact shortcut of the scalar scan. A replica that finishes (converged,
-// or faulted) leaves the live set via Deactivate's dense swap-remove, so
-// surviving replicas don't pay for it.
+// same arbitration); only the memory layout and the arrival-draw batching
+// differ, and neither changes a replica's decisions. A replica that
+// finishes (converged, or faulted) leaves the live set via Deactivate's
+// dense swap-remove, so surviving replicas don't pay for it.
 type BatchNetwork struct {
 	cfg    BatchConfig
 	g      *topology.Grid
@@ -264,7 +242,6 @@ type BatchNetwork struct {
 	cands      []routing.Candidate
 	freeCands  []routing.Candidate
 	freeScores []int
-	hdrOrd     []int64
 	moves      []int32
 	moveChs    []int32
 	chSlot     []int32

@@ -117,7 +117,7 @@ func (b *BatchNetwork) drawArrivals() {
 // Network.inject).
 //
 //lint:parity draws the arrival draw happens once in Step's batched sweep; injectR consumes the staged arrivals
-//lint:parity writes the scalar engine refills its arrivals scratch and seeds the new slot's counters inline; the batch engine seeds slots through setActive and records fresh headers in headerIDs
+//lint:parity writes the scalar engine refills its arrivals scratch and seeds the new slot's counters inline; the batch engine seeds slots through setActive
 func (b *BatchNetwork) injectR(rep *batchReplica) {
 	for _, a := range rep.arrivals {
 		rep.window.Generated++
@@ -136,7 +136,6 @@ func (b *BatchNetwork) injectR(rep *batchReplica) {
 		rep.inFlight++
 		id := b.newInjSlotR(rep)
 		rep.setActive(id, vcHot{out: outRoute{ch: outNone}, flits: int32(m.Len), node: int32(a.Src)}, m)
-		rep.headerIDs = append(rep.headerIDs, id)
 		if rep.tel != nil {
 			rep.tel.Inject(rep.now, m.ID, a.Src, a.Dst)
 			rep.tel.InjEnqueue()
@@ -181,75 +180,39 @@ func (b *BatchNetwork) growSlots() {
 }
 
 // allocateR routes rep's arrived, unrouted headers (scalar
-// Network.allocate). The rotation draw is consumed unconditionally — it is
-// part of the replica's RNG sequence — but instead of the scalar engine's
-// full active scan from the rotated start, the headers come straight off
-// rep.headerIDs, visited in the position order the rotated scan would reach
-// them; slots that are not headers are skipped by that scan without side
-// effects, so the shortlist routes exactly what the scan routes.
-//
-//lint:parity calls tryRouteR is expanded at both the single-header and sorted-shortlist call sites, so the scalar scan's one route/foreBlocked sequence appears once per site
-//lint:parity hooks the same duplication: each expanded tryRouteR carries its own HeadBlocked emission
-//lint:parity writes the rotated header shortlist (headerIDs, hdrOrd) is batch-only staging
+// Network.allocate): the same rotated scan over the active positions, with
+// the same per-slot gates. routeR may append positions (a claimed
+// downstream VC), but growth never disturbs the first count entries, so
+// the scan visits exactly the slots live at its start.
 func (b *BatchNetwork) allocateR(rep *batchReplica) {
 	count := len(rep.active)
 	if count == 0 {
 		return
 	}
-	start := rep.rt.Intn(count)
-	switch len(rep.headerIDs) {
-	case 0:
-		return
-	case 1:
-		b.tryRouteR(rep, rep.headerIDs[0])
-	default:
-		ord := b.hdrOrd[:0]
-		for _, id := range rep.headerIDs {
-			rel := int(rep.aIdx[id]) - start
-			if rel < 0 {
-				rel += count
+	// Rotate the scan start each cycle so no node gets a standing priority
+	// in virtual-channel contention; the wrap is a branch, not a modulo.
+	next := rep.rt.Intn(count)
+	for i := 0; i < count; i++ {
+		pos := next
+		if next++; next == count {
+			next -= count
+		}
+		h := &rep.hotA[pos]
+		id := rep.active[pos]
+		if h.out.ch != outNone || h.recvd == 0 && id < b.chanVCs || rep.now < h.ready {
+			continue // routed, not yet arrived, or still in the router pipeline
+		}
+		if id >= b.chanVCs && b.ports > 0 && int(rep.injecting[h.node]) >= b.ports {
+			continue // all injection ports busy; wait for one to free up
+		}
+		m := rep.msgA[pos]
+		if !b.routeR(rep, id, int32(pos), m) {
+			if rep.tel != nil {
+				rep.tel.HeadBlocked(m.Class)
 			}
-			ord = append(ord, int64(rel)<<32|int64(uint32(id)))
-		}
-		// Insertion sort: the shortlist is a handful of entries.
-		for i := 1; i < len(ord); i++ {
-			v := ord[i]
-			j := i - 1
-			for j >= 0 && ord[j] > v {
-				ord[j+1] = ord[j]
-				j--
+			if rep.fore != nil {
+				b.foreBlockedR(rep, id, m)
 			}
-			ord[j+1] = v
-		}
-		b.hdrOrd = ord
-		for _, o := range ord {
-			//lint:allow indexdiscipline hdrOrd packs rel<<32|slot-id sort keys; the uint32 truncation here is the one decode back to a slot id
-			b.tryRouteR(rep, int32(uint32(o)))
-		}
-	}
-}
-
-// tryRouteR applies the scalar allocation scan's per-header gates (router
-// pipeline readiness, injection-port budget) and routes the header, exactly
-// as the scan does when it reaches this slot.
-func (b *BatchNetwork) tryRouteR(rep *batchReplica, id int32) {
-	pos := rep.aIdx[id]
-	h := &rep.hotA[pos]
-	if rep.now < h.ready {
-		return
-	}
-	if id >= b.chanVCs && b.ports > 0 && int(rep.injecting[h.node]) >= b.ports {
-		return // all injection ports busy; wait for one to free up
-	}
-	m := rep.msgA[pos]
-	if b.routeR(rep, id, pos, m) {
-		rep.dropHeaderID(id)
-	} else {
-		if rep.tel != nil {
-			rep.tel.HeadBlocked(m.Class)
-		}
-		if rep.fore != nil {
-			b.foreBlockedR(rep, id, m)
 		}
 	}
 }
@@ -462,8 +425,6 @@ func (b *BatchNetwork) dropReverseConflictsR(rep *batchReplica, moves []int32) [
 
 // applyMoveR transfers one flit from rep's slot id across its output
 // channel (scalar Network.applyMove).
-//
-//lint:parity writes a completed header hop re-registers the downstream slot in headerIDs for the next allocate shortlist; the scalar engine rediscovers headers by scanning
 func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 	pos := rep.aIdx[id]
 	h := &rep.hotA[pos]
@@ -488,7 +449,6 @@ func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 		dim, dir := int(out.dim), topology.Dir(out.dir)
 		m.Advance(b.g, dim, dir, int(b.tbl.coord[ch]), int(b.tbl.parity[ch]))
 		ht.ready = rep.now + 1 + int64(b.routeDelay)
-		rep.headerIDs = append(rep.headerIDs, t)
 		if b.onHeaderHop != nil {
 			// Zero-copy handoff by contract: m is engine-owned and valid only
 			// for the duration of the callback (see BatchConfig.OnHeaderHop).

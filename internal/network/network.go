@@ -99,12 +99,6 @@ type Config struct {
 	// movement while messages are in flight before Step reports a deadlock
 	// (default 20000; < 0 disables).
 	WatchdogCycles int64
-	// MsgPool, if set, supplies the message free list; sharing one across
-	// back-to-back runs lets later runs start warm. nil gives the network a
-	// private pool. Pooling never changes results: recycled messages are
-	// reinitialized through the same code path message.New uses, consuming
-	// identical RNG draws (see message.Pool).
-	MsgPool *message.Pool
 	// OnDeliver, if set, is called for every delivered message with the
 	// delivery cycle already recorded. The *message.Message is recycled
 	// after the callback returns: copy what you need, do not retain the
@@ -317,10 +311,7 @@ func New(cfg Config) (*Network, error) {
 		tel:     cfg.Telemetry,
 		prof:    cfg.Phases.Timer(),
 		fore:    cfg.Forensics,
-		pool:    cfg.MsgPool,
-	}
-	if n.pool == nil {
-		n.pool = message.NewPool()
+		pool:    message.NewPool(),
 	}
 	n.tieFn = n.tieBreak
 	slots := g.ChannelSlots()
@@ -387,10 +378,6 @@ func (n *Network) Now() int64 { return n.now }
 
 // InFlight returns the number of admitted messages not yet delivered.
 func (n *Network) InFlight() int { return n.inFlight }
-
-// Pool returns the message free list in use (for sharing across runs and for
-// reuse diagnostics).
-func (n *Network) Pool() *message.Pool { return n.pool }
 
 // Window returns the counters accumulated since the last ResetWindow.
 func (n *Network) Window() Counters {
