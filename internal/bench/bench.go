@@ -384,10 +384,14 @@ func Specs(short bool) []Spec {
 	)
 	// ecube on the 8-ary 2-cube past saturation (rate 0.06, rho about
 	// 0.97): many headers wait in the allocation scan every cycle, the
-	// regime where a single-seed figure point spends its engine time.
+	// regime where a single-seed figure point spends its engine time. nbc
+	// at the same rate adds channels with more than two virtual channels,
+	// so the flat arbitration and the blocked-header skip run under the
+	// allocs/op gate too.
 	specs = append(specs,
 		replicasSpec("scalar-sat", 8, "ecube", 0.06, 0),
 		replicasSpec("r1-sat", 8, "ecube", 0.06, 1),
+		replicasSpec("r1-sat-nbc", 8, "nbc", 0.06, 1),
 	)
 	specs = append(specs, sweepScaleSpec(short, 1), sweepScaleSpec(short, 4))
 	return specs

@@ -12,9 +12,10 @@ package lint
 //
 //   - positions: aIdx[slot], range/loop offsets over the active list or a
 //     position array, len(active)-style bounds arithmetic, a uniform draw
-//     below such a bound (rt.Intn(len(active))), or a parameter named in
-//     PosParams;
-//   - slot ids: elements of the active/free/shortlist slices, configured
+//     below such a bound (rt.Intn(len(active))), blessed producers
+//     (nextUnrouted, a set bit of the unrouted-position bitmap), or a
+//     parameter named in PosParams;
+//   - slot ids: elements of the active/free/mover slices, configured
 //     slot-carrying struct fields, blessed producers (newInjSlotR), the
 //     ch*numVCs+vc packing arithmetic, or a parameter named in SlotParams.
 //
@@ -54,6 +55,9 @@ type IndexDiscipline struct {
 	SlotFields map[string]bool
 	// SlotProducers are target-package functions returning fresh slot ids.
 	SlotProducers map[string]bool
+	// PosProducers are target-package functions returning positions (a set
+	// bit of a position bitmap).
+	PosProducers map[string]bool
 	// PosDraws are methods drawing uniformly from [0, arg): given a
 	// position bound they return a position (the rotated scan start).
 	PosDraws map[string]bool
@@ -68,16 +72,16 @@ func NewIndexDiscipline() *IndexDiscipline {
 	return &IndexDiscipline{
 		TargetPkg:  "wormsim/internal/network",
 		Root:       "(*BatchNetwork).Step",
-		PosArrays:  map[string]bool{"hotA": true, "msgA": true, "active": true},
+		PosArrays:  map[string]bool{"hotA": true, "msgA": true, "active": true, "blk": true},
 		SlotArrays: map[string]bool{"aIdx": true, "occ": true},
 		SlotSlices: map[string]bool{
-			"active": true, "headerIDs": true, "injFree": true,
-			"moves": true, "cand": true,
+			"active": true, "injFree": true, "moves": true, "reqBuf": true,
 		},
 		SlotParams:    map[string]bool{"id": true, "t": true},
 		PosParams:     map[string]bool{"pos": true},
 		SlotFields:    map[string]bool{"wormRef.vc": true},
 		SlotProducers: map[string]bool{"newInjSlotR": true},
+		PosProducers:  map[string]bool{"nextUnrouted": true},
 		PosDraws:      map[string]bool{"Intn": true},
 		SlotFactor:    "numVCs",
 	}
@@ -367,6 +371,9 @@ func (s *idxScope) exprBlessWith(e ast.Expr, bless map[types.Object]int) int {
 		if fn := calleeFunc(s.pkg, t); fn != nil {
 			if s.pass.SlotProducers[fn.Name()] {
 				return blessSlot
+			}
+			if s.pass.PosProducers[fn.Name()] {
+				return blessPos
 			}
 			if s.pass.PosDraws[fn.Name()] && len(t.Args) == 1 {
 				return s.exprBlessWith(t.Args[0], bless) & blessPos

@@ -7,15 +7,16 @@ import (
 
 func indexFixturePass(p *Package) *IndexDiscipline {
 	return &IndexDiscipline{
-		TargetPkg:  p.Path,
-		Root:       "(*BEng).Step",
-		PosArrays:  map[string]bool{"hot": true},
-		SlotArrays: map[string]bool{"aIdx": true},
-		SlotSlices: map[string]bool{"act": true},
-		SlotParams: map[string]bool{"id": true},
-		PosParams:  map[string]bool{"pos": true},
-		PosDraws:   map[string]bool{"Intn": true},
-		SlotFactor: "numVCs",
+		TargetPkg:    p.Path,
+		Root:         "(*BEng).Step",
+		PosArrays:    map[string]bool{"hot": true},
+		SlotArrays:   map[string]bool{"aIdx": true},
+		SlotSlices:   map[string]bool{"act": true},
+		SlotParams:   map[string]bool{"id": true},
+		PosParams:    map[string]bool{"pos": true},
+		PosDraws:     map[string]bool{"Intn": true},
+		PosProducers: map[string]bool{"nextSet": true},
+		SlotFactor:   "numVCs",
 	}
 }
 

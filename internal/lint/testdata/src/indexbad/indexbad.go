@@ -1,8 +1,8 @@
 // Package indexbad exercises the indexdiscipline pass: dense position
 // arrays indexed by slot ids, slot-id arrays indexed by loop positions, and
 // blessed uses (active-list iteration, aIdx translation, ch*numVCs+vc
-// packing, len-bounded counters, draws below a position bound) that must
-// stay silent. Expected findings carry trailing "// WANT indexdiscipline"
+// packing, len-bounded counters, draws below a position bound, positions
+// from a position-bitmap producer) that must stay silent. Expected findings carry trailing "// WANT indexdiscipline"
 // markers.
 package indexbad
 
@@ -13,6 +13,7 @@ type BEng struct {
 	act    []int32
 	numVCs int32
 	rt     *stream
+	live   []uint64
 }
 
 // stream stands in for the engine's random stream.
@@ -34,6 +35,7 @@ func (b *BEng) Step() {
 	b.mixedUp()
 	b.pack(3, 1)
 	b.rotated(len(b.act))
+	b.bitScan()
 }
 
 // consume's id parameter is blessed by name; the aIdx hop translates it to
@@ -80,4 +82,24 @@ func (b *BEng) rotated(n int) {
 	}
 	b.hot[b.rt.Intn(n)]++           // WANT indexdiscipline
 	b.aIdx[b.rt.Intn(len(b.hot))]++ // WANT indexdiscipline
+}
+
+// nextSet returns the first set position of the live bitmap in [from, to),
+// or -1: a blessed position producer.
+func (b *BEng) nextSet(from, to int) int {
+	for ; from < to; from++ {
+		if b.live[from>>6]>>(uint(from)&63)&1 != 0 {
+			return from
+		}
+	}
+	return -1
+}
+
+// bitScan visits the positions a producer yields: they index the position
+// array, never the slot-id array.
+func (b *BEng) bitScan() {
+	for pos := b.nextSet(0, len(b.hot)); pos >= 0; pos = b.nextSet(pos+1, len(b.hot)) {
+		b.hot[pos]++
+		b.aIdx[pos]++ // WANT indexdiscipline
+	}
 }

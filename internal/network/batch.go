@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormsim/internal/congestion"
 	"wormsim/internal/forensics"
@@ -130,6 +131,15 @@ type batchReplica struct {
 	msgA   []*message.Message
 	aIdx   []int32
 	occ    []uint64
+	// unr is a bitmap over positions, bit i set iff hotA[i].out.ch ==
+	// outNone, so allocation visits only unrouted slots. blk[i] is position
+	// i's blocked-header stamp (blkSet|freed[node] after a failed route,
+	// else 0), and freed[node] counts the releases of channel virtual
+	// channels out of node: while a header's stamp matches, none of its
+	// candidate virtual channels can have come free (see allocPosR).
+	unr   []uint64
+	blk   []uint32
+	freed []uint32
 
 	injFree  []int32
 	nextSlot int32
@@ -148,18 +158,30 @@ type batchReplica struct {
 // method value so the inject path never allocates a closure.
 func (rep *batchReplica) tieBreak(int) bool { return rep.rt.Bernoulli(0.5) }
 
+// blkSet marks a blocked-header stamp as set, so a fresh position's zero
+// stamp never matches a release count.
+const blkSet = 1 << 31
+
 // setActive records slot id live at the next position with record h and
-// message m.
+// message m. Every activation is an unrouted slot (h.out.ch == outNone: an
+// injected message or a claimed downstream virtual channel), so the
+// position's unrouted bit is set and its blocked stamp cleared.
 func (rep *batchReplica) setActive(id int32, h vcHot, m *message.Message) {
-	rep.aIdx[id] = int32(len(rep.active))
+	pos := len(rep.active)
+	rep.aIdx[id] = int32(pos)
 	rep.active = append(rep.active, id)
 	rep.hotA = append(rep.hotA, h)
 	rep.msgA = append(rep.msgA, m)
+	rep.blk = append(rep.blk, 0)
 	rep.occ[id>>6] |= 1 << (uint(id) & 63)
+	if pos>>6 == len(rep.unr) {
+		rep.unr = append(rep.unr, 0)
+	}
+	rep.unr[pos>>6] |= 1 << (uint(pos) & 63)
 }
 
 // clearActive swap-removes slot id: the last position's slot moves into its
-// place, record and message included.
+// place, record, message, unrouted bit and blocked stamp included.
 func (rep *batchReplica) clearActive(id int32) {
 	last := len(rep.active) - 1
 	i := rep.aIdx[id]
@@ -167,12 +189,33 @@ func (rep *batchReplica) clearActive(id int32) {
 	rep.active[i] = moved
 	rep.hotA[i] = rep.hotA[last]
 	rep.msgA[i] = rep.msgA[last]
+	rep.blk[i] = rep.blk[last]
 	rep.aIdx[moved] = i
 	rep.active = rep.active[:last]
 	rep.hotA = rep.hotA[:last]
 	rep.msgA = rep.msgA[:last]
+	rep.blk = rep.blk[:last]
 	rep.aIdx[id] = -1
 	rep.occ[id>>6] &^= 1 << (uint(id) & 63)
+	// Copy the last bit into i before clearing the last one, so i == last
+	// ends clear too.
+	bit := rep.unr[last>>6] >> (uint(last) & 63) & 1
+	rep.unr[i>>6] = rep.unr[i>>6]&^(1<<(uint(i)&63)) | bit<<(uint(i)&63)
+	rep.unr[last>>6] &^= 1 << (uint(last) & 63)
+}
+
+// nextUnrouted returns the first unrouted position in [from, to), or -1.
+func (rep *batchReplica) nextUnrouted(from, to int) int {
+	for from < to {
+		if w := rep.unr[from>>6] >> (uint(from) & 63); w != 0 {
+			if pos := from + bits.TrailingZeros64(w); pos < to {
+				return pos
+			}
+			return -1
+		}
+		from = (from | 63) + 1 // the next word
+	}
+	return -1
 }
 
 // BatchNetwork runs R independent replicas of one network config in
@@ -244,11 +287,11 @@ type BatchNetwork struct {
 	freeScores []int
 	moves      []int32
 	moveChs    []int32
-	chSlot     []int32
-	reqs       [][]int32
-	touched    []int32
-	reqGen     uint32
-	chReqGen   []uint32
+	// reqN[ch] counts this cycle's requesters of channel ch (zero between
+	// transfers); reqBuf[ch*numVCs+k] holds its k-th requester for k >= 1,
+	// the first being the channel's moves entry.
+	reqN       []uint32
+	reqBuf     []int32
 	revGen     uint32
 	chMoverGen []uint32
 	chDropGen  []uint32
@@ -344,6 +387,7 @@ func NewBatch(cfg BatchConfig) (*BatchNetwork, error) {
 			rep.aIdx[i] = -1
 		}
 		rep.occ = make([]uint64, (b.numSlots+63)/64)
+		rep.freed = make([]uint32, g.Nodes())
 		rep.rr = make([]uint32, slots)
 		rep.owners = make([]int32, slots)
 		rep.injecting = make([]int32, g.Nodes())
@@ -365,9 +409,8 @@ func NewBatch(cfg BatchConfig) (*BatchNetwork, error) {
 	b.batchWs = make([]*traffic.Bernoulli, 0, R)
 	b.batchOut = make([][]traffic.Arrival, 0, R)
 	b.arrStreams = make([]*rng.Stream, R)
-	b.reqs = make([][]int32, slots)
-	b.chSlot = make([]int32, slots)
-	b.chReqGen = make([]uint32, slots)
+	b.reqN = make([]uint32, slots)
+	b.reqBuf = make([]int32, b.chanVCs)
 	b.chMoverGen = make([]uint32, slots)
 	b.chDropGen = make([]uint32, slots)
 	return b, nil

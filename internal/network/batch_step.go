@@ -117,7 +117,7 @@ func (b *BatchNetwork) drawArrivals() {
 // Network.inject).
 //
 //lint:parity draws the arrival draw happens once in Step's batched sweep; injectR consumes the staged arrivals
-//lint:parity writes the scalar engine refills its arrivals scratch and seeds the new slot's counters inline; the batch engine seeds slots through setActive
+//lint:parity writes the scalar engine refills its arrivals scratch and seeds the new slot's counters inline; the batch engine seeds slots through setActive, which also sets the position's unrouted bit and clears its blocked stamp (unr, blk)
 func (b *BatchNetwork) injectR(rep *batchReplica) {
 	for _, a := range rep.arrivals {
 		rep.window.Generated++
@@ -181,39 +181,70 @@ func (b *BatchNetwork) growSlots() {
 
 // allocateR routes rep's arrived, unrouted headers (scalar
 // Network.allocate): the same rotated scan over the active positions, with
-// the same per-slot gates. routeR may append positions (a claimed
-// downstream VC), but growth never disturbs the first count entries, so
-// the scan visits exactly the slots live at its start.
+// the same per-slot gates, except that it visits only the positions whose
+// unrouted bit is set — the set bits of [next, count), then of [0, next),
+// which are exactly the slots the scalar scan does not skip as routed, in
+// its order. routeR may append positions (a claimed downstream VC), but
+// growth never disturbs the first count entries, so the scan visits
+// exactly the slots live at its start.
+//
+//lint:parity writes a failed route stamps the header's position (blk) with its node's release count, so later cycles skip the route attempt until a virtual channel out of that node is released; the scalar engine keeps no such memo
 func (b *BatchNetwork) allocateR(rep *batchReplica) {
 	count := len(rep.active)
 	if count == 0 {
 		return
 	}
 	// Rotate the scan start each cycle so no node gets a standing priority
-	// in virtual-channel contention; the wrap is a branch, not a modulo.
+	// in virtual-channel contention.
 	next := rep.rt.Intn(count)
-	for i := 0; i < count; i++ {
-		pos := next
-		if next++; next == count {
-			next -= count
+	for lo, hi := next, count; ; lo, hi = 0, next {
+		for pos := rep.nextUnrouted(lo, hi); pos >= 0; pos = rep.nextUnrouted(pos+1, hi) {
+			b.allocPosR(rep, pos)
 		}
-		h := &rep.hotA[pos]
-		id := rep.active[pos]
-		if h.out.ch != outNone || h.recvd == 0 && id < b.chanVCs || rep.now < h.ready {
-			continue // routed, not yet arrived, or still in the router pipeline
+		if lo == 0 {
+			return
 		}
-		if id >= b.chanVCs && b.ports > 0 && int(rep.injecting[h.node]) >= b.ports {
-			continue // all injection ports busy; wait for one to free up
+	}
+}
+
+// allocPosR applies allocation's per-slot gates to the unrouted slot at
+// rep's position pos and routes its header if they pass.
+//
+// A header whose route failed is skipped while its blocked stamp still
+// matches its node's release count: its candidates depend only on its
+// message state and node, neither of which changes while it waits, and
+// every candidate virtual channel was occupied at the failure and can only
+// come free through a release of a channel virtual channel out of that
+// node, which bumps the count. Other headers' claims only occupy more. The
+// failed attempt drew no randomness and changed no state, so skipping it
+// changes nothing — except the candidate scratch the forensics analyzer
+// reads, which is why the observer replica with forensics never skips.
+func (b *BatchNetwork) allocPosR(rep *batchReplica, pos int) {
+	h := &rep.hotA[pos]
+	id := rep.active[pos]
+	if h.recvd == 0 && id < b.chanVCs || rep.now < h.ready {
+		return // not yet arrived, or still in the router pipeline
+	}
+	if id >= b.chanVCs && b.ports > 0 && int(rep.injecting[h.node]) >= b.ports {
+		// All injection ports busy; wait for one to free up. The stamp is
+		// dropped so an unbounded wait here cannot let a wrapped release
+		// count match it again.
+		rep.blk[pos] = 0
+		return
+	}
+	m := rep.msgA[pos]
+	stamp := rep.freed[h.node] | blkSet
+	if rep.blk[pos] != stamp || rep.fore != nil {
+		if b.routeR(rep, id, int32(pos), m) {
+			return
 		}
-		m := rep.msgA[pos]
-		if !b.routeR(rep, id, int32(pos), m) {
-			if rep.tel != nil {
-				rep.tel.HeadBlocked(m.Class)
-			}
-			if rep.fore != nil {
-				b.foreBlockedR(rep, id, m)
-			}
-		}
+		rep.blk[pos] = stamp
+	}
+	if rep.tel != nil {
+		rep.tel.HeadBlocked(m.Class)
+	}
+	if rep.fore != nil {
+		b.foreBlockedR(rep, id, m)
 	}
 }
 
@@ -221,11 +252,12 @@ func (b *BatchNetwork) allocateR(rep *batchReplica) {
 // id at active position pos and reports whether it is routed afterwards
 // (scalar Network.route).
 //
-//lint:parity writes the batch vcHot literal leaves the zero-valued counters (flits, ready, recvd, sent) implicit and records the downstream node at claim time; the scalar engine zero-seeds them explicitly and stores the node on header arrival
+//lint:parity writes the batch vcHot literal leaves the zero-valued counters (flits, ready, recvd, sent) implicit and records the downstream node at claim time; the scalar engine zero-seeds them explicitly and stores the node on header arrival; a claim or an ejection clears the position's unrouted bit (unr), and the claimed slot's setActive sets its own and clears its blocked stamp (blk)
 func (b *BatchNetwork) routeR(rep *batchReplica, id int32, pos int32, m *message.Message) bool {
 	node := int(rep.hotA[pos].node)
 	if m.Dst == node {
 		rep.hotA[pos].out = outRoute{ch: outEject}
+		rep.unr[pos>>6] &^= 1 << (uint(pos) & 63)
 		return true
 	}
 	b.cands = b.alg.Candidates(b.g, m, node, b.cands[:0])
@@ -254,6 +286,7 @@ func (b *BatchNetwork) routeR(rep *batchReplica, id int32, pos int32, m *message
 	rep.owners[ch]++
 	rep.setActive(t, vcHot{out: outRoute{ch: outNone}, node: b.tbl.down[ch]}, m)
 	rep.hotA[pos].out = outRoute{ch: int32(ch), vc: int16(c.VC), dim: int8(c.Dim), dir: int8(c.Dir)}
+	rep.unr[pos>>6] &^= 1 << (uint(pos) & 63)
 	if id >= b.chanVCs {
 		rep.injecting[node]++
 		m.FirstAlloc = rep.now
@@ -268,28 +301,22 @@ func (b *BatchNetwork) routeR(rep *batchReplica, id int32, pos int32, m *message
 
 // transferR performs rep's ejection, channel arbitration and flit movement
 // (scalar Network.transfer). It reports whether any flit moved across a
-// channel. The dense pass collects movers and resolves channel contention as
-// it scans: a channel's requesters are the worms holding its virtual
-// channels, so there are at most numVCs of them, and in two-VC configs the
-// second requester settles the channel on the spot — the same round-robin
-// choice over the same scan-ordered pair the scalar arbitration makes,
-// without materializing request lists. Wider VC configs fall back to the
-// full request-list arbitration.
+// channel. The dense pass collects movers and groups each channel's
+// requesters as it scans: they are the worms holding its virtual channels,
+// so there are at most numVCs of them, and they fill a fixed row of
+// reqBuf. A channel's first requester is its moves entry, in touch order;
+// afterwards each channel picks row[rr%n] — the same round-robin choice
+// over the same scan-ordered requesters the scalar arbitration makes, for
+// every VC count, without per-channel request lists.
 //
-//lint:parity writes mover staging and generation-stamped arbitration scratch (moveChs, chSlot, reqGen, chReqGen) replace the scalar request lists
+//lint:parity writes mover staging and the flat arbitration rows (moveChs, reqN, reqBuf) replace the scalar request lists (reqs, touched)
 func (b *BatchNetwork) transferR(rep *batchReplica) bool {
 	bufDepth := b.bufDepth
 	numVCs := int32(b.numVCs)
-	pairArb := numVCs == 2
-	b.reqGen++
-	gen := b.reqGen
-	chGen := b.chReqGen
-	chSlot := b.chSlot
+	reqN, reqBuf := b.reqN, b.reqBuf
 	moves := b.moves[:0]
 	chs := b.moveChs[:0]
-	conflict := false
 	active, hotA, aIdx := rep.active, rep.hotA, rep.aIdx
-	rr := rep.rr
 	for i := 0; i < len(active); i++ {
 		h := &hotA[i]
 		out := h.out
@@ -314,34 +341,26 @@ func (b *BatchNetwork) transferR(rep *batchReplica) bool {
 		if ht.flits >= bufDepth && ht.out.ch != outEject {
 			continue // no credit downstream (full consuming buffers drain)
 		}
-		if chGen[out.ch] == gen {
-			if pairArb {
-				// Second (and by the VC-ownership bound, last) requester:
-				// the scalar arbitration picks reqs[rr%2] from the
-				// scan-ordered pair, so an odd pointer flips the win to
-				// this one. The pointer itself advances once per touched
-				// channel, below.
-				if rr[out.ch]&1 == 1 {
-					moves[chSlot[out.ch]] = active[i]
-				}
-				continue
-			}
-			conflict = true
-		} else {
-			chGen[out.ch] = gen
-			chSlot[out.ch] = int32(len(moves))
+		if n := reqN[out.ch]; n != 0 {
+			reqBuf[out.ch*numVCs+int32(n)] = active[i]
+			reqN[out.ch] = n + 1
+			continue
 		}
+		reqN[out.ch] = 1
 		moves = append(moves, active[i])
 		chs = append(chs, out.ch)
 	}
-	if conflict {
-		moves = b.arbitrateR(rep, moves, chs)
-	} else {
-		// Winners are settled; the round-robin pointer advances once per
-		// requested channel, as the scalar arbitration does.
-		for _, ch := range chs {
-			rr[ch]++
+	// One winner per requested channel; the round-robin pointer advances
+	// once per requested channel, as the scalar arbitration does.
+	rr := rep.rr
+	for k, ch := range chs {
+		if n := reqN[ch]; n > 1 {
+			if j := rr[ch] % n; j != 0 {
+				moves[k] = reqBuf[ch*numVCs+int32(j)]
+			}
 		}
+		reqN[ch] = 0
+		rr[ch]++
 	}
 	b.moves, b.moveChs = moves, chs
 	if b.halfDuplex && len(moves) > 1 {
@@ -351,36 +370,6 @@ func (b *BatchNetwork) transferR(rep *batchReplica) bool {
 		b.applyMoveR(rep, id)
 	}
 	return len(b.moves) > 0
-}
-
-// arbitrateR resolves contended channels for configs with more than two
-// virtual channels per physical channel, where the scan's pairwise inline
-// resolution doesn't apply: requesters group per channel in scan order and
-// each channel picks one winner round-robin (scalar Network.transfer's
-// arbitration loop, verbatim).
-func (b *BatchNetwork) arbitrateR(rep *batchReplica, cand, chs []int32) []int32 {
-	touched := b.touched[:0]
-	for i, id := range cand {
-		ch := chs[i]
-		if len(b.reqs[ch]) == 0 {
-			touched = append(touched, ch)
-		}
-		b.reqs[ch] = append(b.reqs[ch], id)
-	}
-	b.touched = touched
-	// Winners overwrite cand in channel-touch order; reqs holds the copies.
-	winners := cand[:0]
-	for _, ch := range b.touched {
-		req := b.reqs[ch]
-		winner := req[0]
-		if len(req) > 1 {
-			winner = req[int(rep.rr[ch])%len(req)]
-		}
-		rep.rr[ch]++
-		winners = append(winners, winner)
-		b.reqs[ch] = req[:0]
-	}
-	return winners
 }
 
 // dropReverseConflictsR enforces half-duplex links for rep (scalar
@@ -425,6 +414,8 @@ func (b *BatchNetwork) dropReverseConflictsR(rep *batchReplica, moves []int32) [
 
 // applyMoveR transfers one flit from rep's slot id across its output
 // channel (scalar Network.applyMove).
+//
+//lint:parity writes a channel slot's tail release bumps its upstream node's release count (freed), which voids the blocked stamps of headers waiting there, and the swap-remove carries the unrouted bit and blocked stamp of the moved position (unr, blk)
 func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 	pos := rep.aIdx[id]
 	h := &rep.hotA[pos]
@@ -469,7 +460,9 @@ func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 			rep.injFree = append(rep.injFree, id)
 			rep.clearActive(id)
 		} else {
-			rep.owners[id/int32(b.numVCs)]--
+			c := id / int32(b.numVCs)
+			rep.owners[c]--
+			rep.freed[b.tbl.up[c]]++
 			if rep.tel != nil {
 				rep.tel.VCReleased(int(id % int32(b.numVCs)))
 			}
@@ -482,10 +475,13 @@ func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 // position pos (scalar Network.deliver).
 //
 //lint:parity reads the freed slot's physical channel is decoded from its id through numVCs; the scalar engine reads the stored vcCh entry instead
+//lint:parity writes the release bumps the freed channel's upstream node's release count (freed), which voids the blocked stamps of headers waiting there, and the swap-remove carries the unrouted bit and blocked stamp of the moved position (unr, blk)
 func (b *BatchNetwork) deliverR(rep *batchReplica, id int32, pos int) {
 	m := rep.msgA[pos]
 	m.DeliverTime = rep.now
-	rep.owners[id/int32(b.numVCs)]--
+	c := id / int32(b.numVCs)
+	rep.owners[c]--
+	rep.freed[b.tbl.up[c]]++
 	rep.clearActive(id)
 	rep.inFlight--
 	rep.window.Delivered++

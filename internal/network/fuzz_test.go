@@ -20,11 +20,15 @@ func FuzzScalarBatchEquivalence(f *testing.F) {
 	f.Add(uint64(23), uint8(4), uint8(2), uint16(96), uint8(10), uint8(1))
 	f.Add(uint64(0xdeadbeef), uint8(3), uint8(3), uint16(64), uint8(50), uint8(2))
 	f.Add(uint64(1), uint8(5), uint8(4), uint16(300), uint8(5), uint8(1))
-	// The top of the rate clamp on the 8x8 torus, three replicas each:
-	// ecube and nlast saturate there, so many headers wait in the
-	// allocation scan at once.
+	// The top of the rate clamp on the 8x8 torus, three replicas each.
+	// algPick indexes the sorted routing.Names(): 0 is 2pn, 2 ecube,
+	// 8 nlast and 9 phop. ecube and nlast saturate there, so many headers
+	// wait in the allocation scan at once; under 2pn and phop channels also
+	// see three or more requesters, the multi-VC arbitration path.
 	f.Add(uint64(31), uint8(2), uint8(2), uint16(447), uint8(59), uint8(2))
 	f.Add(uint64(47), uint8(2), uint8(8), uint16(447), uint8(59), uint8(2))
+	f.Add(uint64(53), uint8(2), uint8(9), uint16(447), uint8(59), uint8(2))
+	f.Add(uint64(59), uint8(2), uint8(0), uint16(447), uint8(59), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, shape, algPick uint8, cycles uint16, ratePct uint8, replicas uint8) {
 		gc := batchGrids[int(shape)%len(batchGrids)]
 		g := batchGrid(gc.k, gc.n, gc.mesh)

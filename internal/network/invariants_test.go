@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"wormsim/internal/message"
@@ -202,5 +203,126 @@ func TestArbitrationFairness(t *testing.T) {
 	ratio := mean0 / mean1
 	if ratio < 0.5 || ratio > 2.0 {
 		t.Errorf("stream latencies %0.1f vs %0.1f: arbiter looks unfair", mean0, mean1)
+	}
+}
+
+// checkBatchBookkeeping validates replica r's allocation bookkeeping: the
+// unrouted bitmap mirrors out.ch == outNone over the active positions and is
+// clear beyond them, the blocked stamps track the positions one for one,
+// and every slot whose stamp matches its node's release count is an
+// unrouted header whose candidate virtual channels are all occupied — the
+// condition under which skipping its route attempt is exact. It returns
+// how many stamps matched.
+func checkBatchBookkeeping(t *testing.T, b *BatchNetwork, r int) int {
+	t.Helper()
+	rep := &b.reps[r]
+	count := len(rep.active)
+	if len(rep.blk) != count || len(rep.unr)*64 < count {
+		t.Fatalf("replica %d: %d active positions, %d stamps, %d bitmap words", r, count, len(rep.blk), len(rep.unr))
+	}
+	for w, word := range rep.unr {
+		for bit := 0; bit < 64; bit++ {
+			pos := w*64 + bit
+			set := word>>uint(bit)&1 != 0
+			if pos >= count {
+				if set {
+					t.Fatalf("replica %d: unrouted bit %d set beyond %d active positions", r, pos, count)
+				}
+				continue
+			}
+			if want := rep.hotA[pos].out.ch == outNone; set != want {
+				t.Fatalf("replica %d: position %d unrouted bit %v, out.ch %d", r, pos, set, rep.hotA[pos].out.ch)
+			}
+		}
+	}
+	matched := 0
+	for pos := 0; pos < count; pos++ {
+		h := rep.hotA[pos]
+		if rep.blk[pos] != rep.freed[h.node]|blkSet {
+			continue
+		}
+		matched++
+		if h.out.ch != outNone {
+			t.Fatalf("replica %d: routed position %d keeps a matching blocked stamp", r, pos)
+		}
+		node := int(h.node)
+		for _, c := range b.alg.Candidates(b.g, rep.msgA[pos], node, nil) {
+			ch := (node*b.nDims+c.Dim)*2 + int(c.Dir)
+			if b.tbl.down[ch] < 0 {
+				continue
+			}
+			slot := ch*b.numVCs + c.VC
+			if rep.occ[slot>>6]>>(uint(slot)&63)&1 == 0 {
+				t.Fatalf("replica %d: header at node %d keeps a matching stamp while candidate VC %d of channel %d is free",
+					r, node, c.VC, ch)
+			}
+		}
+	}
+	return matched
+}
+
+// TestBatchBookkeepingInvariants steps saturated batches (8-ary 2-cube,
+// rate 0.06, about rho 0.97) and checks the allocation bookkeeping after
+// every Step, for adaptive and oblivious algorithms and a half-duplex
+// config. Each replica must still end bit-identical to a scalar run.
+func TestBatchBookkeepingInvariants(t *testing.T) {
+	g := topology.NewTorus(8, 2)
+	cases := []struct {
+		alg  string
+		half bool
+	}{{"phop", false}, {"nbc", false}, {"ecube", false}, {"nlast", false}, {"nbc", true}}
+	for _, c := range cases {
+		name := c.alg
+		if c.half {
+			name += "/halfduplex"
+		}
+		t.Run(name, func(t *testing.T) {
+			alg, err := routing.Get(c.alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := []uint64{5, 6, 7}
+			base := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.06, seeds[0])
+			wls := make([]traffic.Workload, len(seeds))
+			for r, seed := range seeds {
+				wls[r] = base.Replicate(seed)
+			}
+			bn, err := NewBatch(BatchConfig{
+				Grid: g, Algorithm: alg, Workloads: wls, Seeds: seeds,
+				MsgLen: 16, CCLimit: 2, InjectionPorts: 2, HalfDuplex: c.half,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const cycles = 1500
+			matched := 0
+			for i := 0; i < cycles; i++ {
+				if faults := bn.Step(); faults != nil {
+					t.Fatalf("unexpected watchdog fault: %+v", faults)
+				}
+				for r := range seeds {
+					matched += checkBatchBookkeeping(t, bn, r)
+				}
+			}
+			if matched == 0 {
+				t.Error("no header ever held a matching blocked stamp: the skip path went unexercised")
+			}
+			for r, seed := range seeds {
+				n, err := New(Config{
+					Grid: g, Algorithm: alg, Workload: traffic.NewBernoulli(g, traffic.NewUniform(g), 0.06, seed),
+					MsgLen: 16, CCLimit: 2, InjectionPorts: 2, HalfDuplex: c.half, Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Run(cycles); err != nil {
+					t.Fatal(err)
+				}
+				got := fmt.Sprintf("%+v %v %v", bn.Total(r), bn.ChannelFlitCounts(r), bn.WormStatesOf(r))
+				if want := fmt.Sprintf("%+v %v %v", n.Total(), n.ChannelFlitCounts(), n.WormStates()); got != want {
+					t.Errorf("replica %d (seed %d) diverged from the scalar engine", r, seed)
+				}
+			}
+		})
 	}
 }
